@@ -50,7 +50,7 @@ from repro.detect.races import Candidate, DetectionResult
 from repro.errors import CheckpointError, TraceFormatError
 from repro.hb.incremental import StreamingHBState
 from repro.hb.model import FULL_MODEL, HBModel
-from repro.runtime.ops import OpEvent
+from repro.runtime.ops import MEM_KINDS, OpEvent, OpKind
 from repro.trace.records import (
     _jsonable,
     _untuple,
@@ -58,6 +58,13 @@ from repro.trace.records import (
     record_to_dict,
 )
 from repro.trace.store import Trace
+from repro.trace.wal import (
+    LINE_HEADER,
+    LINE_RECORD,
+    LINE_SEAL,
+    RecordDecoder,
+    scan_segment,
+)
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -79,6 +86,8 @@ DEFAULT_WINDOW = 8192
 
 STREAM_CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 STREAM_CHECKPOINT_VERSION = 1
+
+_MEM_WRITE = OpKind.MEM_WRITE
 
 _METRIC_RECORDS = "stream_records_total"
 _METRIC_EVICTIONS = "stream_window_evictions_total"
@@ -180,14 +189,14 @@ class StreamingDetector:
     def feed(self, event: OpEvent) -> None:
         """Consume the next record (must arrive in global seq order)."""
         seg, count = self.state.observe(event)
-        if event.is_mem and event.location is not None:
+        if event.location is not None and event.kind in MEM_KINDS:
             accesses = self._active.get(event.location)
             if accesses is None:
                 accesses = []
                 self._active[event.location] = accesses
-            event_is_write = event.is_write
+            event_is_write = event.kind is _MEM_WRITE
             for a_seg, a_count, a_event in accesses:
-                if not (event_is_write or a_event.is_write):
+                if not (event_is_write or a_event.kind is _MEM_WRITE):
                     continue
                 if a_seg == seg:
                     continue  # program order
@@ -305,11 +314,13 @@ class StreamingDetector:
 
 
 class _WalStreamReader:
-    """Lazily parse one stream's sealed segments in order.
+    """Lazily parse one stream's sealed segments in order, one record
+    per ``R`` line as the merge pulls it.
 
-    Any damage — torn/CRC-bad/malformed record, unsealed or missing
-    segment — truncates the stream at the damage point and is counted,
-    mirroring salvage's taxonomy without holding the file set in memory.
+    Any damage — torn/CRC-bad/malformed record, seal mismatch, unsealed
+    or missing segment — truncates the stream at the damage point and is
+    counted, mirroring salvage's taxonomy without holding the file set
+    in memory.
     """
 
     def __init__(self, directory: str, node: str, tid: int, damage: Counter):
@@ -330,51 +341,38 @@ class _WalStreamReader:
         expected = 0
         for index, filename in sorted(indexed):
             if index != expected:
-                self.damage["missing_segments"] += 1
-                self.damaged = True
+                self._damaged("missing_segments")
                 return
             expected = index + 1
             yield os.path.join(self.directory, filename)
 
+    def _damaged(self, kind: str) -> None:
+        self.damage[kind] += 1
+        self.damaged = True
+
     def __iter__(self) -> Iterator[OpEvent]:
         for path in self._segment_paths():
             sealed = False
+            decoder = RecordDecoder()
             with open(path, "rb") as fh:
-                for raw in fh:
-                    torn = not raw.endswith(b"\n")
-                    line = raw.rstrip(b"\n")
-                    if line.startswith(b"H "):
-                        continue
-                    if line.startswith(b"R "):
-                        head, payload = line[:20], line[20:]
+                for verdict, _start, _end, _torn, value in scan_segment(fh):
+                    if verdict == LINE_RECORD:
                         try:
-                            length = int(head[2:10], 16)
-                            crc = int(head[11:19], 16)
-                        except ValueError:
-                            length = crc = -1
-                        if (
-                            torn
-                            or length != len(payload)
-                            or zlib.crc32(payload) & 0xFFFFFFFF != crc
-                        ):
-                            self.damage["damaged_records"] += 1
-                            self.damaged = True
+                            event = decoder.decode(value)
+                        except TraceFormatError:
+                            self._damaged("damaged_records")
                             return
-                        try:
-                            yield record_from_dict(json.loads(payload))
-                        except (ValueError, KeyError, TypeError):
-                            self.damage["damaged_records"] += 1
-                            self.damaged = True
+                        yield event
+                    elif verdict == LINE_SEAL:
+                        if value is not None:
+                            self._damaged("seal_mismatches")
                             return
-                    elif line.startswith(b"S ") and not torn:
                         sealed = True
-                    elif line:
-                        self.damage["damaged_records"] += 1
-                        self.damaged = True
+                    elif verdict != LINE_HEADER:
+                        self._damaged("damaged_records")
                         return
             if not sealed:
-                self.damage["unsealed_segments"] += 1
-                self.damaged = True
+                self._damaged("unsealed_segments")
                 return
 
 
@@ -425,14 +423,15 @@ def iter_wal_records(
     heapq.heapify(heap)
     tids = [reader.tid for reader in readers]
     while heap:
-        seq, index, event, iterator = heapq.heappop(heap)
+        _seq, index, event, iterator = heap[0]
         yield event
         following = next(iterator, None)
         if following is None:
+            heapq.heappop(heap)
             if on_stream_end is not None:
                 on_stream_end(tids[index])
         else:
-            heapq.heappush(heap, (following.seq, index, following, iterator))
+            heapq.heapreplace(heap, (following.seq, index, following, iterator))
 
 
 def wal_stream_tids(wal_dir: str) -> List[int]:

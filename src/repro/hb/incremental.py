@@ -95,6 +95,17 @@ class StreamingHBState:
                 "clocks assume in-segment ordering)"
             )
         self.model = model.without(*STREAM_UNSUPPORTED_FAMILIES)
+        #: sink/source kind -> pairing channel, for the model's families.
+        self._sinks = {
+            kind: channel
+            for kind, (channel, family) in _SINKS.items()
+            if getattr(self.model, family)
+        }
+        self._sources = {
+            kind: channel
+            for kind, (channel, family) in _SOURCES.items()
+            if getattr(self.model, family)
+        }
         #: segment -> sparse clock {segment: count} (includes own count).
         self._clocks: Dict[int, Dict[int, int]] = {}
         #: (channel, tag) -> clock snapshot of the source, pending a sink.
@@ -138,10 +149,10 @@ class StreamingHBState:
         self._started.add(tid)
 
         kind = event.kind
-        sink = _SINKS.get(kind)
+        sink = self._sinks.get(kind)
         joined = False
-        if sink is not None and getattr(self.model, sink[1]):
-            snapshot = self._pending.pop((sink[0], event.obj_id), None)
+        if sink is not None:
+            snapshot = self._pending.pop((sink, event.obj_id), None)
             if snapshot is None:
                 self.unmatched[f"{kind.value}_without_source"] += 1
             else:
@@ -168,9 +179,9 @@ class StreamingHBState:
         count = clock.get(seg, 0) + 1
         clock[seg] = count
 
-        source = _SOURCES.get(kind)
-        if source is not None and getattr(self.model, source[1]):
-            key = (source[0], event.obj_id)
+        source = self._sources.get(kind)
+        if source is not None:
+            key = (source, event.obj_id)
             if key in self._pending:
                 self.unmatched[f"{kind.value}_replaced_pending"] += 1
             self._pending[key] = dict(clock)

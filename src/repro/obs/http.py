@@ -97,8 +97,11 @@ class ObsHttpServer:
         self._httpd.daemon_threads = True
         self._httpd.owner = self  # type: ignore[attr-defined]
         self.port = self._httpd.server_address[1]
+        # shutdown() waits for the serve loop's next poll: keep the poll
+        # short so stopping the server is not a half-second stall.
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
             name="obs-http",
             daemon=True,
         )

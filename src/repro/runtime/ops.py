@@ -55,6 +55,11 @@ class OpKind(Enum):
     LOCK_ACQUIRE = "lock_acquire"
     LOCK_RELEASE = "lock_release"
 
+    # Members are singletons compared by identity; the identity hash is
+    # a C slot, where Enum's default hashes the member name in Python on
+    # every dict or set lookup of a kind.
+    __hash__ = object.__hash__
+
 
 #: Kinds that contribute happens-before edges (everything but memory/locks).
 HB_KINDS = frozenset(

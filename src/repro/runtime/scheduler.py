@@ -126,7 +126,12 @@ class SimThread:
 
     def _bootstrap(self) -> None:
         _current.thread = self
-        self._await_grant()
+        try:
+            self._await_grant()
+        except ThreadKilled:
+            # Torn down before its first grant: it never ran, so there
+            # is nothing to report and no exit to announce.
+            return
         try:
             self.target()
             self.state = ThreadState.DONE

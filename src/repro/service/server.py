@@ -156,6 +156,12 @@ class DetectionServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below is immediate.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -324,11 +330,12 @@ class DetectionServer:
     # -- connections -------------------------------------------------------
 
     def _accept_loop(self) -> None:
+        listener = self._listener  # stop() clears the attribute
         while not self._stopping.is_set():
             try:
-                conn, _addr = self._listener.accept()
+                conn, _addr = listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
             conn.settimeout(60.0)
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

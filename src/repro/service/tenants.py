@@ -33,8 +33,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.detect.streaming import (
@@ -47,7 +47,8 @@ from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
 from repro.service.report import build_report_doc, render_report
-from repro.trace.records import record_from_dict
+# Not called here; the per-layer benchmark ledger patches this name.
+from repro.trace.records import record_from_dict  # noqa: F401
 from repro.trace.sampling import Sampler, build_sampler
 from repro.trace.wal import iter_segment_records, list_stream_segments
 
@@ -80,11 +81,14 @@ class _SpoolStream:
         self.directory = directory
         #: Segments durably spooled (next expected upload index).
         self.received = 0
-        #: Segments fully parsed into the merge buffer.
+        #: Segments opened for decoding (the last may still hold records).
         self.consumed_segments = 0
         #: Final segment count, set by ``finalize``.
         self.declared: Optional[int] = None
-        self.pending: Deque[OpEvent] = deque()
+        #: The next record in seq order, decoded but not yet merged.
+        self.head: Optional[OpEvent] = None
+        #: Lazy decoder over the segment being parsed.
+        self._records: Optional[Iterator[OpEvent]] = None
         self.closed = False  # close_stream() delivered to the detector
 
     @property
@@ -95,24 +99,35 @@ class _SpoolStream:
         return os.path.join(self.directory, f"seg-{index:04d}.wal")
 
     def refill(self, damage: Counter) -> None:
-        """Parse spooled segments into the merge buffer until a record
-        is available (or the spool cursor catches up)."""
-        while not self.pending and self.consumed_segments < self.received:
+        """Decode the next record into ``head``, opening the next
+        spooled segment when the current one runs out (or leave
+        ``head`` empty when the spool cursor has caught up).  Records
+        are decoded one at a time, as the merge pulls them."""
+        while self.head is None:
+            if self._records is not None:
+                self.head = next(self._records, None)
+                if self.head is not None:
+                    return
+                self._records = None
+            if self.consumed_segments >= self.received:
+                return
             path = self.segment_path(self.consumed_segments)
             with open(path, "rb") as fh:
                 data = fh.read()
-            for raw in iter_segment_records(data):
-                try:
-                    self.pending.append(record_from_dict(raw))
-                except (ValueError, KeyError, TypeError):
-                    # Segment CRC passed at ingest, so this is a schema
-                    # problem, not corruption; count and continue.
-                    damage["damaged_records"] += 1
+            # Segment CRCs passed at ingest, so a record that fails to
+            # decode is a schema problem, not corruption: count it and
+            # continue.
+            self._records = iter_segment_records(data, damage)
             self.consumed_segments += 1
 
     @property
+    def buffered(self) -> bool:
+        """A decoded record or a partly decoded segment is waiting."""
+        return self.head is not None or self._records is not None
+
+    @property
     def unparsed(self) -> int:
-        """Spooled segments not yet parsed into the merge buffer."""
+        """Spooled segments not yet opened for decoding."""
         return self.received - self.consumed_segments
 
     @property
@@ -124,7 +139,7 @@ class _SpoolStream:
         credits fill with segments parked behind non-empty buffers
         while the merge starves on streams that were never allowed to
         ship, and the backlog can then never drain."""
-        return not self.pending and self.unparsed == 0 and not self.closed
+        return not self.buffered and self.unparsed == 0 and not self.closed
 
     @property
     def exhausted(self) -> bool:
@@ -132,14 +147,14 @@ class _SpoolStream:
         return (
             self.declared is not None
             and self.consumed_segments >= self.declared
-            and not self.pending
+            and not self.buffered
         )
 
     @property
     def starved(self) -> bool:
-        """Open (more data may come) but nothing buffered — the merge
+        """Open (more data may come) but nothing decoded — the merge
         must stall rather than pop out of seq order."""
-        return not self.pending and not self.exhausted
+        return self.head is None and not self.exhausted
 
 
 class Tenant:
@@ -440,12 +455,12 @@ class Tenant:
                     continue
                 if stream.starved:
                     return advanced  # cannot pop without risking order
-                head = stream.pending[0]
-                if best is None or head.seq < best.pending[0].seq:
+                if best is None or stream.head.seq < best.head.seq:
                     best = stream
             if best is None:
                 return advanced
-            event = best.pending.popleft()
+            event = best.head
+            best.head = None
             self.consumed_raw += 1
             advanced += 1
             if self.consumed_raw <= self._skip_raw:

@@ -12,7 +12,9 @@ What counts as damage:
 * **torn record** — an ``R`` line whose payload is shorter than its
   length prefix (a write interrupted mid-record);
 * **CRC mismatch** — payload present but corrupted;
-* **bad JSON / bad record** — payload decodes but is not a valid record;
+* **bad record** — payload passes its CRC but does not decode: bad
+  JSON, malformed v2 fields, or a reference to an intern entry that a
+  lost line of the same segment defined;
 * **garbage line** — a line that is not ``H``/``R``/``S`` framed at all;
 * **unsealed segment** — a segment file with no seal marker: its tail
   (and any records buffered but never flushed) is gone;
@@ -33,15 +35,22 @@ damage, live or not.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
-from repro.trace.records import record_from_dict
+from repro.runtime.ops import OpEvent
 from repro.trace.store import Trace
+from repro.trace.wal import (
+    LINE_CRC,
+    LINE_HEADER,
+    LINE_RECORD,
+    LINE_SEAL,
+    LINE_TORN,
+    RecordDecoder,
+    scan_segment,
+)
 
 
 @dataclass
@@ -215,11 +224,15 @@ def _quarantine(
     )
 
 
+#: Quarantine kind per damaged-line verdict of ``scan_segment``.
+_DAMAGE_KIND = {LINE_TORN: "torn", LINE_CRC: "crc"}
+
+
 def _salvage_segment(
     path: str,
     report: SalvageReport,
     thread: ThreadSalvage,
-    records: List[dict],
+    records: List[OpEvent],
     live_tail: bool = False,
 ) -> None:
     """Scan one segment file line by line; recover what verifies.
@@ -227,93 +240,38 @@ def _salvage_segment(
     ``live_tail`` marks the stream's growing last segment during a live
     capture: an unterminated final line and a missing seal are then
     *in progress*, not damage."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-    count = 0
-    running_crc = 0
     sealed = False
     rel = os.path.relpath(path, report.directory)
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        end = len(data) if newline < 0 else newline
-        line = data[offset:end]
-        torn_tail = newline < 0  # no terminator: the write was cut short
-        if torn_tail and live_tail:
-            # The writer is mid-append on this very line; it will be
-            # complete (or sealed over) by the next look.
-            report.records_in_progress += 1
-            offset = end + 1
-            continue
-        if line.startswith(b"H "):
-            pass  # header carries no records
-        elif line.startswith(b"R "):
-            ok = False
-            head, payload = line[:20], line[20:]
-            try:
-                length = int(head[2:10], 16)
-                crc = int(head[11:19], 16)
-            except ValueError:
-                _quarantine(
-                    report, thread, rel, offset, end,
-                    "unparseable record framing", "torn",
-                )
-            else:
-                if torn_tail or len(payload) != length:
-                    _quarantine(
-                        report, thread, rel, offset, end,
-                        f"torn record: {len(payload)} of {length} payload bytes",
-                        "torn",
-                    )
-                elif zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    _quarantine(
-                        report, thread, rel, offset, end,
-                        "CRC mismatch", "crc",
-                    )
+    decoder = RecordDecoder()
+    with open(path, "rb") as fh:
+        for verdict, start, end, torn, value in scan_segment(fh):
+            if torn and live_tail:
+                # The writer is mid-append on this very line; it will be
+                # complete (or sealed over) by the next look.
+                report.records_in_progress += 1
+            elif verdict == LINE_RECORD:
+                try:
+                    records.append(decoder.decode(value))
+                except TraceFormatError as exc:
+                    _quarantine(report, thread, rel, start, end, str(exc), "bad")
                 else:
-                    try:
-                        records.append(json.loads(payload))
-                        ok = True
-                    except ValueError:
-                        _quarantine(
-                            report, thread, rel, offset, end,
-                            "payload is not valid JSON", "bad",
-                        )
-            if ok:
-                count += 1
-                running_crc = zlib.crc32(payload, running_crc) & 0xFFFFFFFF
-                report.records_recovered += 1
-                thread.records_recovered += 1
-        elif line.startswith(b"S ") and not torn_tail:
-            try:
-                seal_count = int(line[2:10], 16)
-                seal_crc = int(line[11:19], 16)
-            except ValueError:
-                _quarantine(
-                    report, thread, rel, offset, end,
-                    "unparseable seal marker", "torn",
-                )
-            else:
+                    report.records_recovered += 1
+                    thread.records_recovered += 1
+            elif verdict == LINE_SEAL:
                 sealed = True
-                if seal_count != count or seal_crc != running_crc:
+                if value is not None:
                     report.seal_mismatches += 1
                     report.quarantined.append(
                         QuarantinedRecord(
-                            path=rel,
-                            byte_start=offset,
-                            byte_end=end,
-                            reason=(
-                                f"seal mismatch: sealed {seal_count} records, "
-                                f"read {count}"
-                            ),
+                            path=rel, byte_start=start, byte_end=end, reason=value
                         )
                     )
-        elif line:
-            _quarantine(
-                report, thread, rel, offset, end,
-                "unrecognized line framing", "torn" if torn_tail else "bad",
-            )
-        offset = end + 1
+            elif verdict != LINE_HEADER:
+                # Later lines may refer to intern entries the lost line
+                # defined: they must fail, not resolve to other values.
+                decoder.freeze()
+                kind = _DAMAGE_KIND.get(verdict, "torn" if torn else "bad")
+                _quarantine(report, thread, rel, start, end, value, kind)
     if sealed:
         report.sealed_segments += 1
         thread.sealed_segments += 1
@@ -351,7 +309,7 @@ def salvage_trace(
     if not os.path.isdir(directory):
         raise TraceFormatError(f"not a WAL directory: {directory}")
     report = SalvageReport(directory=directory)
-    raw_records: List[dict] = []
+    recovered: List[OpEvent] = []
     streams = 0
     for node in sorted(os.listdir(directory)):
         node_dir = os.path.join(directory, node)
@@ -391,7 +349,7 @@ def salvage_trace(
                     os.path.join(thread_dir, f"seg-{idx:04d}.wal"),
                     report,
                     thread,
-                    raw_records,
+                    recovered,
                     live_tail=live and idx == indices[-1],
                 )
     if streams == 0:
@@ -401,16 +359,8 @@ def salvage_trace(
         )
 
     trace = Trace(name)
-    decoded = []
-    for data in raw_records:
-        try:
-            decoded.append(record_from_dict(data))
-        except TraceFormatError:
-            report.records_quarantined += 1
-            report.bad_records += 1
-            report.records_recovered -= 1
-    decoded.sort(key=lambda r: r.seq)
-    for record in decoded:
+    recovered.sort(key=lambda r: r.seq)
+    for record in recovered:
         trace.append(record)
     trace.partial = report.damaged
     trace.salvage_report = report

@@ -5,7 +5,7 @@ in :mod:`repro.workload.spec` directly in WAL-segment form (the PR-4
 ``repro.trace.wal`` framing), one stream per node thread, plus a
 ``ground_truth.json`` manifest listing every planted race.  Everything
 is derived from ``(system, preset, seed)`` through seeded ``random``
-instances and the WAL writer's canonical JSON encoding, so two runs
+instances and the WAL writer's canonical record encoding, so two runs
 with the same inputs produce byte-identical segment files.
 """
 
@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
-from repro.trace.records import record_to_dict
 from repro.trace.wal import WalWriter
 from repro.workload.spec import (
     PRESETS,
@@ -153,7 +152,7 @@ class _Emitter:
                 flush_every=256,
             )
             self._writers[key] = writer
-        writer.append(record_to_dict(event))
+        writer.append(event)
         return self.seq
 
     def close(self) -> int:

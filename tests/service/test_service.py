@@ -15,7 +15,8 @@ from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.report import render_report, report_from_stream_result
 from repro.service.server import DetectionServer, load_service_file
-from repro.trace.wal import list_stream_segments
+from repro.trace.records import record_to_dict
+from repro.trace.wal import WalWriter, iter_segment_records, list_stream_segments
 from repro.workload import generate_workload
 
 WINDOW = 256
@@ -42,6 +43,22 @@ def _client(server, tenant, **kwargs):
     return ServiceClient("127.0.0.1", server.port, tenant, **kwargs)
 
 
+def _as_v1(wal_dir, out):
+    """Rewrite a WAL directory with v1 (JSON) record payloads only,
+    keeping every segment boundary."""
+    for (node, tid), paths in list_stream_segments(wal_dir).items():
+        segments = [
+            list(iter_segment_records(open(path, "rb").read())) for path in paths
+        ]
+        writer = WalWriter(
+            str(out), node, tid, segment_records=max(map(len, segments))
+        )
+        for segment in segments:
+            for event in segment:
+                writer.append(record_to_dict(event))
+        writer.close()
+
+
 def _offline_report(wal_dir, tenant):
     result = detect_races_streaming(wal_dir=wal_dir, window=WINDOW)
     return render_report(report_from_stream_result(tenant, result))
@@ -57,6 +74,20 @@ class TestShipAndReport:
         assert result.segments_shipped > 0
         assert result.segments_duplicate == 0
         assert render_report(report) == _offline_report(wal_dir, "alpha")
+        assert report["confidence"] == "full"
+
+    def test_v1_wal_directory_ships(self, server, wal_dir, tmp_path):
+        """Segments written before the v2 record codec still ship and
+        give the same report."""
+        v1_dir = tmp_path / "v1"
+        _as_v1(wal_dir, v1_dir)
+        assert open(
+            list_stream_segments(str(v1_dir)).popitem()[1][0], "rb"
+        ).read().count(b' {"extra": ') > 0
+        with _client(server, "legacy") as client:
+            client.ship_wal_dir(str(v1_dir))
+            report = client.wait_report()
+        assert render_report(report) == _offline_report(wal_dir, "legacy")
         assert report["confidence"] == "full"
 
     def test_spool_is_the_wal_layout(self, server, wal_dir):

@@ -27,6 +27,17 @@ def _write_stream(directory, count, node="n1", tid=0, **kwargs):
     return sink
 
 
+def _payload_offset(data, seq):
+    """Byte offset of the payload of the ``R`` line that carries ``seq``
+    (the first v2 field)."""
+    offset = 0
+    for line in data.split(b"\n"):
+        if line.startswith(b"R ") and line[20:].split(b"\t", 1)[0] == b"%d" % seq:
+            return offset + 20
+        offset += len(line) + 1
+    return -1
+
+
 def _segment_path(directory, node="n1", tid=0, segment=0):
     return os.path.join(
         str(directory), node, f"thread-{tid}", f"seg-{segment:04d}.wal"
@@ -76,10 +87,10 @@ class TestDamage:
         path = _segment_path(tmp_path)
         with open(path, "rb") as fh:
             data = fh.read()
-        # Flip one byte inside the third record's JSON payload.
-        idx = data.find(b'"seq": 3')
+        # Flip one byte inside the third record's payload.
+        idx = _payload_offset(data, 3)
         assert idx > 0
-        data = data[:idx] + b'"seq": 9' + data[idx + 8:]
+        data = data[:idx] + b"9" + data[idx + 1:]
         with open(path, "wb") as fh:
             fh.write(data)
         trace, report = salvage_trace(str(tmp_path))
@@ -96,9 +107,9 @@ class TestDamage:
         sink.close()
         path = _segment_path(tmp_path)
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
+            data = fh.read()
         # Drop one record line but keep the (now lying) seal.
-        lines = [l for l in lines if b'"seq": 2' not in l]
+        lines = [l for l in data.split(b"\n") if _payload_offset(l, 2) < 0]
         with open(path, "wb") as fh:
             fh.write(b"\n".join(lines))
         trace, report = salvage_trace(str(tmp_path))
@@ -229,7 +240,8 @@ class TestLiveSalvage:
         # real damage regardless of live mode.
         path = _segment_path(tmp_path, segment=0)
         data = open(path, "rb").read()
-        open(path, "wb").write(data.replace(b'"seq": 2', b'"seq!: 2', 1))
+        idx = _payload_offset(data, 2)
+        open(path, "wb").write(data[:idx] + b"!" + data[idx + 1:])
         _trace, report = salvage_trace(str(tmp_path), live=True)
         assert report.damaged
         assert report.records_quarantined == 1
