@@ -63,9 +63,8 @@ def _crc(payload: bytes) -> int:
 def config_fingerprint(benchmark: str, config: "object") -> str:
     """Hash of every config knob that changes analysis *results*.
 
-    Performance knobs (worker counts, observability) are deliberately
-    excluded: resuming with a different worker count is safe because
-    any worker count produces identical candidates."""
+    Performance knobs (observability, stream window) are deliberately
+    excluded: they never change the candidates."""
     model = config.model
     fields = {
         "benchmark": benchmark,
@@ -77,7 +76,6 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
         "trigger_max_wait": config.trigger_max_wait,
-        "reach_backend": config.reach_backend,
         "detect_mode": getattr(config, "detect_mode", "batch"),
         "compress_mem": getattr(config, "compress_mem", True),
         "max_pairs_per_location": getattr(
@@ -511,9 +509,7 @@ def detection_payload(detection: "object") -> Dict[str, Any]:
         "truncated_locations": [
             list(loc) for loc in detection.truncated_locations
         ],
-        "workers": detection.workers,
         "stopped_early": detection.stopped_early,
-        "auto_decision": detection.auto_decision,
         "confidence": detection.confidence,
         "analysis_seconds": detection.analysis_seconds,
         "sp_pairs": (
@@ -549,9 +545,7 @@ def restore_detection(
         truncated_locations=[
             tuple(loc) for loc in payload.get("truncated_locations", [])
         ],
-        workers=payload.get("workers", 1),
         stopped_early=payload.get("stopped_early", False),
-        auto_decision=payload.get("auto_decision"),
         confidence=payload.get("confidence", "full"),
         sp_pairs=(
             {(a, b) for a, b in payload["sp_pairs"]}

@@ -8,6 +8,7 @@ produce the same trace.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +28,22 @@ STREAM_BENCH_SEED = 0
 #: The streaming mode runs under this fixed RSS budget — proving the
 #: single-pass detector stays bounded even on million-record traces.
 STREAM_BENCH_MEMORY_BUDGET_MB = 512
+
+
+def _physical_ram_bytes() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # non-POSIX
+        return 64 * 1024 * 1024 * 1024
+
+
+_PHYSICAL_RAM_BYTES = _physical_ram_bytes()
 #: Whole-graph memory budget for the stream bench's serial baseline —
 #: an xl backbone needs a ~19 GB reachability bit matrix, which is the
-#: point of the comparison (streaming/chunked stay bounded).
-STREAM_SERIAL_BUDGET = 64 * 1024 * 1024 * 1024
+#: point of the comparison (streaming stays bounded).  Capped at the
+#: host's physical RAM, so a baseline the host cannot hold is refused
+#: before it allocates instead of swapping or being OOM-killed.
+STREAM_SERIAL_BUDGET = min(64 * 1024 * 1024 * 1024, _PHYSICAL_RAM_BYTES)
 
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import ReportSet
@@ -178,8 +191,6 @@ def _bench_durable(bug_id: str, trace_dir: str, baseline_tracing: float):
     """Re-run the monitored stage with the WAL on; report the overhead
     of durable tracing relative to the in-memory tracing stage, plus
     what salvage recovers from the written log."""
-    import os
-
     from repro import obs
     from repro.trace.salvage import salvage_trace
 
@@ -374,13 +385,12 @@ SAMPLING_BENCH_REPEATS = 3
 
 def _sampling_replay(records, sampler):
     """The tracer hot path on a pre-loaded record list: consult the
-    sampler, honour reservoir evictions, and serialize every kept
-    record (the WAL write path minus the disk).  Returns the serialized
-    lines so the rate-1.0 run can be byte-compared against the
-    unsampled output."""
-    import json
-
-    from repro.trace.records import record_to_dict
+    sampler, honour reservoir evictions, and encode every kept record
+    as the v2 payload the tracer's WAL writes (one ``RecordEncoder``
+    per replay, so one intern table set; the WAL path minus framing and
+    the disk).  Returns the encoded payloads so the rate-1.0 run can be
+    byte-compared against the unsampled output."""
+    from repro.trace.wal import RecordEncoder
 
     kept = {}
     for event in records:
@@ -391,10 +401,8 @@ def _sampling_replay(records, sampler):
             if not keep:
                 continue
         kept[event.seq] = event
-    return [
-        json.dumps(record_to_dict(event), sort_keys=True)
-        for event in kept.values()
-    ]
+    encoder = RecordEncoder()
+    return [encoder.encode(event) for event in kept.values()]
 
 
 def _bench_sampling_one(
@@ -556,12 +564,9 @@ def _candidate_set(detection):
     return {(c.first.seq, c.second.seq) for c in detection.candidates}
 
 
-def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
-    """Serial / parallel / compressed detection timings on one full
-    (unselective, Table-8-style) trace."""
-    from repro.detect.chunked import detect_races_chunked
-    from repro.detect.parallel import derive_chunk_geometry
-
+def _bench_detect_one(bug_id: str) -> Dict[str, object]:
+    """Compressed, sync-preserving and per-vertex detection timings on
+    one full (unselective, Table-8-style) trace."""
     workload = workload_by_id(bug_id)
     cluster = workload.cluster(0)
     tracer = Tracer(scope=FullScope(), name=f"{bug_id}-detect-bench")
@@ -589,14 +594,7 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
         return detection
 
     # Whole-graph, segment-compressed backbone (the production default).
-    serial = record(
-        "serial", *_timed(lambda: detect_races(trace)), extra={"workers": 1}
-    )
-    sharded = record(
-        "sharded",
-        *_timed(lambda: detect_races(trace, workers=workers)),
-        extra={"workers": workers},
-    )
+    serial = record("serial", *_timed(lambda: detect_races(trace)))
 
     # The sync-preserving tier: the same candidate list plus the sound
     # subset — wall cost is the closure graph and one reachability
@@ -610,26 +608,12 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
         sp_wall,
         sp_cpu,
         extra={
-            "workers": 1,
             "sp_candidates": len(sp.sp_pairs),
             "tiers": {
                 "sp-sound": len(sp.sp_pairs),
                 "hb-predicted": len(sp.candidates) - len(sp.sp_pairs),
             },
         },
-    )
-
-    # workers="auto": serial under the record-count threshold (pool
-    # startup dominates tiny traces), the full pool above it.
-    auto, auto_wall, auto_cpu = _timed(
-        lambda: detect_races(trace, workers="auto")
-    )
-    record(
-        "auto",
-        auto,
-        auto_wall,
-        auto_cpu,
-        extra={"workers": auto.workers, "decision": auto.auto_decision},
     )
 
     # The paper's per-vertex graph (compress_mem=False): bit matrix vs
@@ -642,7 +626,6 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
                 graph=HBGraph(trace, compress_mem=False),
             )
         ),
-        extra={"workers": 1},
     )
     full_chain = record(
         "full_chain",
@@ -654,65 +637,15 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
                 ),
             )
         ),
-        extra={"workers": 1},
     )
 
-    # Chunked detection (the OOM fallback), serial vs process pool.
-    # Geometry is derived from the trace size and worker count
-    # (``derive_chunk_geometry``) instead of a fixed fan-out; both
-    # modes share it so the equality check isolates parallelism.
-    chunk_size, chunk_overlap = derive_chunk_geometry(len(trace), workers)
-    chunked_serial, wall, cpu = _timed(
-        lambda: detect_races_chunked(
-            trace, chunk_size, chunk_overlap, compress_mem=False
-        )
-    )
-    modes["chunked_serial"] = {
-        "wall_seconds": wall,
-        "cpu_seconds": cpu,
-        "candidates": len(chunked_serial.candidates),
-        "records_per_second": round(len(trace) / max(wall, 1e-9), 1),
-        "rss_high_water_mb": round(process_rss_mb(), 1),
-        "chunks": chunked_serial.chunks,
-        "chunk_size": chunked_serial.chunk_size,
-        "chunk_overlap": chunked_serial.overlap,
-        "workers": 1,
-    }
-    chunked_parallel, wall, cpu = _timed(
-        lambda: detect_races_chunked(
-            trace,
-            chunk_size,
-            chunk_overlap,
-            compress_mem=False,
-            workers=workers,
-        )
-    )
-    modes["chunked_parallel"] = {
-        "wall_seconds": wall,
-        "cpu_seconds": cpu,
-        "candidates": len(chunked_parallel.candidates),
-        "records_per_second": round(len(trace) / max(wall, 1e-9), 1),
-        "rss_high_water_mb": round(process_rss_mb(), 1),
-        "chunks": chunked_parallel.chunks,
-        "chunk_size": chunked_parallel.chunk_size,
-        "chunk_overlap": chunked_parallel.overlap,
-        "workers": workers,
-    }
-
-    chunked_equal = {
-        (c.first.seq, c.second.seq) for c in chunked_serial.candidates
-    } == {(c.first.seq, c.second.seq) for c in chunked_parallel.candidates}
     equal = {
-        "sharded_matches_serial": _candidate_set(sharded)
-        == _candidate_set(serial),
         "sp_matches_serial": _candidate_set(sp) == _candidate_set(serial),
         "sp_subset_of_serial": sp.sp_pairs <= _candidate_set(serial),
-        "auto_matches_serial": _candidate_set(auto) == _candidate_set(serial),
         "chain_matches_bitset": _candidate_set(full_chain)
         == _candidate_set(full_bitset),
         "full_graph_matches_compressed": _candidate_set(full_bitset)
         == _candidate_set(serial),
-        "chunked_parallel_matches_chunked_serial": chunked_equal,
     }
     return {
         "bug_id": bug_id,
@@ -725,11 +658,6 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
         "modes": modes,
         "equal": equal,
         "speedup": {
-            "chunked_parallel_vs_serial": round(
-                modes["chunked_serial"]["wall_seconds"]
-                / max(modes["chunked_parallel"]["wall_seconds"], 1e-9),
-                3,
-            ),
             "chain_memory_ratio": round(
                 modes["full_bitset"]["reach"]["bytes"]
                 / max(modes["full_chain"]["reach"]["bytes"], 1),
@@ -742,20 +670,22 @@ def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
 # -- generated-workload streaming benchmark ----------------------------------------
 
 
-def _bench_stream_one(preset: str, workers: int) -> Dict[str, object]:
-    """Streaming vs batch vs chunked on one generated workload.
+def _bench_stream_one(preset: str) -> Dict[str, object]:
+    """Streaming vs whole-graph batch detection on one generated
+    workload.
 
-    Streaming runs first (single WAL pass, before the batch modes
-    inflate process RSS), then the whole-graph serial baseline, then
-    the chunked modes.  Every mode is scored against the generator's
-    planted-race ground truth.
+    Streaming runs first (single WAL pass, before the batch mode
+    inflates process RSS), then the whole-graph serial baseline under
+    ``STREAM_SERIAL_BUDGET``.  A baseline whose reachability structure
+    does not fit that budget is refused before it allocates; the
+    refusal is then recorded as the serial mode's result.  Every mode
+    that ran is scored against the generator's planted-race ground
+    truth.
     """
-    import gc
     import shutil
     import tempfile
 
     from repro.analysis.governor import process_rss_mb
-    from repro.detect.chunked import detect_races_chunked
     from repro.detect.streaming import detect_races_streaming
     from repro.trace.salvage import salvage_trace
     from repro.workload import generate_workload
@@ -796,72 +726,45 @@ def _bench_stream_one(preset: str, workers: int) -> Dict[str, object]:
             "compactions": stream.compactions,
             "active_high_water": stream.active_high_water,
             "planted_recall": recall(stream.candidate_seq_pairs()),
-            "workers": 1,
         }
-        stream_pairs = stream.candidate_seq_pairs()
+        stream_pairs = {frozenset(p) for p in stream.candidate_seq_pairs()}
         del stream
 
         trace, _report = salvage_trace(generated.wal_dir)
         records = len(trace)
 
-        def batch_entry(detection, wall, cpu, extra=None):
-            entry = {
+        matches_serial = None
+        streaming_speedup = None
+        try:
+            serial, wall, cpu = _timed(
+                lambda: detect_races(trace, memory_budget=STREAM_SERIAL_BUDGET)
+            )
+        except TraceAnalysisOOM as exc:
+            modes["serial"] = {
+                "refused": True,
+                "required_bytes": exc.required_bytes,
+                "budget_bytes": exc.budget_bytes,
+                "rss_high_water_mb": round(process_rss_mb(), 1),
+            }
+        else:
+            serial_pairs = [
+                (c.first.seq, c.second.seq) for c in serial.candidates
+            ]
+            modes["serial"] = {
                 "wall_seconds": wall,
                 "cpu_seconds": cpu,
-                "candidates": len(detection.candidates),
+                "candidates": len(serial_pairs),
                 "records_per_second": round(records / max(wall, 1e-9), 1),
                 "rss_high_water_mb": round(process_rss_mb(), 1),
-                "planted_recall": recall(
-                    (c.first.seq, c.second.seq) for c in detection.candidates
-                ),
+                "planted_recall": recall(serial_pairs),
             }
-            entry.update(extra or {})
-            return entry
+            matches_serial = stream_pairs == {
+                frozenset(p) for p in serial_pairs
+            }
+            streaming_speedup = round(
+                wall / max(modes["streaming"]["wall_seconds"], 1e-9), 3
+            )
 
-        serial, wall, cpu = _timed(
-            lambda: detect_races(trace, memory_budget=STREAM_SERIAL_BUDGET)
-        )
-        modes["serial"] = batch_entry(serial, wall, cpu, {"workers": 1})
-        serial_pairs = {(c.first.seq, c.second.seq) for c in serial.candidates}
-        # Free the whole-trace graph (GBs on xl) before the chunked modes.
-        del serial
-        gc.collect()
-
-        chunked_serial, wall, cpu = _timed(
-            lambda: detect_races_chunked(trace)
-        )
-        modes["chunked_serial"] = batch_entry(
-            chunked_serial,
-            wall,
-            cpu,
-            {
-                "chunks": chunked_serial.chunks,
-                "chunk_size": chunked_serial.chunk_size,
-                "chunk_overlap": chunked_serial.overlap,
-                "workers": 1,
-            },
-        )
-        del chunked_serial
-        gc.collect()
-
-        chunked_parallel, wall, cpu = _timed(
-            lambda: detect_races_chunked(trace, workers=workers)
-        )
-        modes["chunked_parallel"] = batch_entry(
-            chunked_parallel,
-            wall,
-            cpu,
-            {
-                "chunks": chunked_parallel.chunks,
-                "chunk_size": chunked_parallel.chunk_size,
-                "chunk_overlap": chunked_parallel.overlap,
-                "workers": workers,
-            },
-        )
-        del chunked_parallel
-        gc.collect()
-
-        serial_wall = modes["serial"]["wall_seconds"]
         return {
             "preset": preset,
             "system": STREAM_BENCH_SYSTEM,
@@ -872,48 +775,31 @@ def _bench_stream_one(preset: str, workers: int) -> Dict[str, object]:
                 "planted_races": len(planted),
             },
             "modes": modes,
-            "equal": {
-                "streaming_matches_serial": {
-                    frozenset(p) for p in stream_pairs
-                }
-                == {frozenset(p) for p in serial_pairs},
-            },
-            "speedup": {
-                name + "_vs_serial": round(
-                    serial_wall / max(modes[name]["wall_seconds"], 1e-9), 3
-                )
-                for name in ("streaming", "chunked_serial", "chunked_parallel")
-            },
+            # null when the serial baseline was refused: nothing to
+            # compare against.
+            "equal": {"streaming_matches_serial": matches_serial},
+            "speedup": {"streaming_vs_serial": streaming_speedup},
         }
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
 
 
 def bench_detect_data(
-    bug_ids=BENCH_REPRESENTATIVES,
-    workers: Optional[int] = None,
-    stream_presets=None,
+    bug_ids=BENCH_REPRESENTATIVES, stream_presets=None
 ) -> Dict[str, object]:
     """The ``BENCH_detect.json`` document."""
-    import os
     import platform
     import sys
 
-    if workers is None:
-        workers = min(4, max(2, os.cpu_count() or 1))
     document = {
         "format": "repro-bench-detect",
         "version": 2,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
-        "chunk_geometry": "derived",
+        "mem_total_mb": _PHYSICAL_RAM_BYTES // (1024 * 1024),
         "benchmarks": [
-            _guarded(
-                bug_id,
-                lambda bug_id=bug_id: _bench_detect_one(bug_id, workers),
-            )
+            _guarded(bug_id, lambda bug_id=bug_id: _bench_detect_one(bug_id))
             for bug_id in bug_ids
         ],
     }
@@ -921,7 +807,7 @@ def bench_detect_data(
         document["stream_benchmarks"] = [
             _guarded(
                 f"stream-{preset}",
-                lambda preset=preset: _bench_stream_one(preset, workers),
+                lambda preset=preset: _bench_stream_one(preset),
             )
             for preset in stream_presets
         ]
@@ -931,13 +817,12 @@ def bench_detect_data(
 def write_bench_detect_json(
     path=BENCH_DETECT_JSON_PATH,
     bug_ids=BENCH_REPRESENTATIVES,
-    workers: Optional[int] = None,
     stream_presets=None,
 ) -> Path:
     import json
 
     path = Path(path)
-    document = bench_detect_data(bug_ids, workers, stream_presets)
+    document = bench_detect_data(bug_ids, stream_presets)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -960,15 +845,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--detect",
         action="store_true",
-        help="benchmark serial/parallel/compressed detection instead of "
-        "the end-to-end pipeline",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the detect bench's parallel modes "
-        "(default: min(4, cpu_count))",
+        help="benchmark compressed/sync-preserving/per-vertex detection "
+        "instead of the end-to-end pipeline",
     )
     parser.add_argument(
         "--trace-dir",
@@ -983,7 +861,7 @@ def main(argv=None) -> int:
         default=None,
         choices=("small", "medium", "xl"),
         metavar="PRESET",
-        help="also benchmark streaming vs batch vs chunked detection on "
+        help="also benchmark streaming vs whole-graph batch detection on "
         "generated workloads of these sizes (detect bench only)",
     )
     parser.add_argument(
@@ -1001,7 +879,6 @@ def main(argv=None) -> int:
         path = write_bench_detect_json(
             args.out or BENCH_DETECT_JSON_PATH,
             args.bugs,
-            args.workers,
             args.stream,
         )
     else:

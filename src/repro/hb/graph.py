@@ -168,21 +168,17 @@ class HBGraph:
         snapshot: Dict[str, object],
         model: HBModel = FULL_MODEL,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        reach_backend: str = "bitset",
     ) -> "HBGraph":
         """Rebuild a graph from ``to_snapshot`` output without re-running
-        pull inference or the HB rule modules."""
-        if reach_backend not in REACH_BACKENDS:
-            raise ValueError(
-                f"unknown reach_backend {reach_backend!r}; "
-                f"expected one of {REACH_BACKENDS}"
-            )
+        pull inference or the HB rule modules.  Reachability starts on
+        the bit matrix; ``restore_reach`` adopts a checkpointed
+        structure's backend."""
         self = cls.__new__(cls)
         self.trace = trace
         self.model = model
         self.memory_budget = memory_budget
         self.compress_mem = bool(snapshot["compress_mem"])
-        self.reach_backend = reach_backend
+        self.reach_backend = "bitset"
         self.edge_counts = defaultdict(int)
         self.edge_counts.update(snapshot.get("edge_counts", {}))
         self.unmatched = Counter(snapshot.get("unmatched", {}))

@@ -21,7 +21,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
@@ -57,20 +57,11 @@ class PipelineConfig:
     scope: str = "selective"  # or "full" (Table 8's alternative design)
     model: HBModel = FULL_MODEL
     memory_budget: int = DEFAULT_MEMORY_BUDGET
-    #: Reachability engine for trace analysis: "bitset" (the paper's
-    #: bit matrix) or "chain" (segment-chain compression, lower memory).
-    reach_backend: str = "bitset"
     #: Compress memory accesses to segment positions in the HB backbone
     #: (the paper's design).  False keeps every record on the backbone —
     #: Table 8's blow-up — which is where the degradation ladder's
     #: bitset→chain rung earns its keep.
     compress_mem: bool = True
-    #: Worker processes for candidate enumeration: 1 = serial (the
-    #: default), 0 = one per CPU, N = exactly N, ``"auto"`` = serial on
-    #: small traces where pool overhead dominates, scaled by record
-    #: count (capped at the CPU count) on large ones.  Any value returns
-    #: the same candidates.
-    detect_workers: "Union[int, str]" = 1
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
@@ -138,9 +129,10 @@ class PipelineConfig:
     #: overrunning stage stops early and is marked degraded.
     max_stage_seconds: Optional[float] = None
     #: Overall memory budget (MB) enforced by the ``ResourceGovernor``:
-    #: tightens the reachability byte budget and, when process RSS
-    #: exceeds it, engages the degradation ladder
-    #: (bitset→chain, parallel→serial, pair truncation).
+    #: tightens the reachability byte budget (an over-budget bit matrix
+    #: degrades to chain reachability) and, when process RSS exceeds
+    #: it, tightens the per-location pair cap.  Past both rungs the
+    #: analysis stage is abandoned as degraded.
     memory_budget_mb: Optional[int] = None
 
 
@@ -593,7 +585,6 @@ class DCatch:
                             restore("hb"),
                             model=config.model,
                             memory_budget=reach_budget,
-                            reach_backend=config.reach_backend,
                         )
                     else:
                         maybe_stall("hb_build")
@@ -602,7 +593,6 @@ class DCatch:
                             model=config.model,
                             memory_budget=reach_budget,
                             compress_mem=config.compress_mem,
-                            reach_backend=config.reach_backend,
                         )
                         if store is not None:
                             store.seal_stage("hb", graph.to_snapshot())
@@ -635,28 +625,16 @@ class DCatch:
                             else "ok"
                         )
 
-                    # Ladder rungs 2 and 3: under RSS pressure shrink the
-                    # worker pool (forked workers multiply RSS), then
-                    # tighten the per-location pair cap.
-                    from repro.detect.parallel import resolve_workers
-
-                    workers = config.detect_workers
+                    # Ladder rung 2: under RSS pressure tighten the
+                    # per-location pair cap.
                     max_pairs = config.max_pairs_per_location
                     if governor.memory_pressure():
-                        if resolve_workers(workers, len(trace.records)) > 1:
-                            governor.degrade(
-                                "detect_serial",
-                                "detect",
-                                "process RSS above memory_budget_mb",
-                            )
-                            workers = 1
-                        if governor.memory_pressure():
-                            governor.degrade(
-                                "truncate_pairs",
-                                "detect",
-                                "process RSS above memory_budget_mb",
-                            )
-                            max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
+                        governor.degrade(
+                            "truncate_pairs",
+                            "detect",
+                            "process RSS above memory_budget_mb",
+                        )
+                        max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
 
                     if store is not None and store.stage_completed("detect"):
                         payload = restore("detect")
@@ -679,7 +657,6 @@ class DCatch:
                                 detection,
                                 model=config.model,
                                 memory_budget=reach_budget,
-                                reach_backend=config.reach_backend,
                             )
                     else:
                         on_shard = None
@@ -711,8 +688,6 @@ class DCatch:
                             memory_budget=reach_budget,
                             graph=graph,
                             max_pairs_per_location=max_pairs,
-                            workers=workers,
-                            reach_backend=config.reach_backend,
                             on_shard=on_shard,
                             completed_shards=completed_shards,
                             should_stop=budget.exceeded,
@@ -729,7 +704,6 @@ class DCatch:
                                 detection,
                                 model=config.model,
                                 memory_budget=reach_budget,
-                                reach_backend=config.reach_backend,
                             )
                         if store is not None and not detection.stopped_early:
                             # A deadline-truncated detection stays unsealed

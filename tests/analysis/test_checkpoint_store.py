@@ -211,3 +211,32 @@ def test_config_fingerprint_tracks_sampling_policy():
         sampling="0.1", sampling_seed=2
     )
     assert fp(sampling="0.1") == fp(sampling="0.1")
+
+
+def test_detect_payload_with_legacy_fanout_keys_restores():
+    """Detect payloads written while batch detection still had a
+    worker-count knob carry two extra keys; such a payload restores to
+    the same detection."""
+    from repro.analysis.checkpoint import detection_payload, restore_detection
+    from repro.detect import detect_races
+    from repro.systems import workload_by_id
+    from repro.trace.tracer import Tracer
+
+    cluster = workload_by_id("ZK-1144").cluster(0)
+    tracer = Tracer().bind(cluster)
+    cluster.run()
+    detection = detect_races(tracer.trace)
+    assert detection.candidates
+    payload = detection_payload(detection)
+    legacy = {"workers": 2, "auto_decision": "serial"}
+    assert not legacy.keys() & payload.keys()
+    payload.update(legacy)
+    restored = restore_detection(
+        json.loads(json.dumps(payload)), tracer.trace, detection.graph
+    )
+    assert [(c.first.seq, c.second.seq) for c in restored.candidates] == [
+        (c.first.seq, c.second.seq) for c in detection.candidates
+    ]
+    assert restored.pairs_examined == detection.pairs_examined
+    assert restored.stopped_early is False
+    assert restored.confidence == detection.confidence

@@ -1,7 +1,11 @@
 """Race detection: candidates, dedup counts, report sets."""
 
+import pickle
+
+from repro import obs
 from repro.detect import ReportSet, Verdict, detect_races
-from repro.hb import FULL_MODEL
+from repro.errors import TraceAnalysisOOM
+from repro.hb import FULL_MODEL, HBGraph
 from repro.runtime import Cluster, sleep
 from repro.trace import FullScope, Tracer
 
@@ -158,3 +162,66 @@ def test_pull_pruning_reduces_candidates():
     with_pull = detect_races(trace, model=FULL_MODEL)
     without_pull = detect_races(trace, model=FULL_MODEL.without("pull"))
     assert len(with_pull.candidates) < len(without_pull.candidates)
+
+
+def _racy_trace(seed=0, writers=3):
+    """Several threads racing on two shared variables (two locations)."""
+
+    def build(cluster):
+        node = cluster.add_node("n")
+        x = node.shared_var("x", 0)
+        y = node.shared_var("y", 0)
+
+        def make_body(i):
+            def body():
+                x.set(i)
+                y.get()
+                y.set(i)
+
+            return body
+
+        for i in range(writers):
+            node.spawn(make_body(i), name=f"w{i}")
+
+    return run_traced(build, seed=seed)
+
+
+def _seq_pairs(detection):
+    return [(c.first.seq, c.second.seq) for c in detection.candidates]
+
+
+def test_truncation_is_recorded_counted_and_warned(capsys):
+    trace = _racy_trace(writers=4)
+    registry = obs.MetricsRegistry(name="trunc")
+    with obs.use_registry(registry):
+        result = detect_races(trace, max_pairs_per_location=1)
+    assert result.truncated_locations  # the cap really bit
+    counter = registry.counter("detect_truncated_locations_total")
+    assert counter.value == len(result.truncated_locations)
+    err = capsys.readouterr().err
+    assert "truncated" in err
+    assert str(len(result.truncated_locations)) in err
+    # The complete run examines more pairs and is not truncated.
+    full = detect_races(trace)
+    assert not full.truncated_locations
+    assert full.pairs_examined > result.pairs_examined
+
+
+def test_oom_error_survives_pickling():
+    """A process-pool caller re-raises worker exceptions by pickling
+    them; the three-argument constructor must survive the round trip."""
+    original = TraceAnalysisOOM("too big", required_bytes=10, budget_bytes=5)
+    clone = pickle.loads(pickle.dumps(original))
+    assert isinstance(clone, TraceAnalysisOOM)
+    assert str(clone) == "too big"
+    assert clone.required_bytes == 10
+    assert clone.budget_bytes == 5
+
+
+def test_detection_with_chain_backend_matches_bitset():
+    trace = _racy_trace()
+    bitset = detect_races(trace)
+    chain = detect_races(trace, graph=HBGraph(trace, reach_backend="chain"))
+    assert bitset.candidates  # the workload really races
+    assert _seq_pairs(chain) == _seq_pairs(bitset)
+    assert chain.graph.reach_stats()["backend"] == "chain"

@@ -151,35 +151,14 @@ def test_trace_stats_flag(capsys):
     assert "hb ops:" in out
 
 
-def test_analysis_flags_parse_and_default():
+def test_removed_fanout_flag_is_rejected():
+    """Detection has one serial path; the old worker-count flag is gone
+    rather than silently ignored."""
     parser = build_parser()
     args = parser.parse_args(["run", "ZK-1144"])
-    assert args.workers == 1
-    assert args.reach_backend == "bitset"
-    args = parser.parse_args(
-        ["run", "ZK-1144", "--workers", "2", "--reach-backend", "chain"]
-    )
-    assert args.workers == 2
-    assert args.reach_backend == "chain"
+    assert not hasattr(args, "workers")
     with pytest.raises(SystemExit):
-        parser.parse_args(["run", "ZK-1144", "--reach-backend", "sparse"])
-
-
-def test_run_with_chain_backend_and_workers(capsys):
-    assert main(
-        [
-            "run",
-            "ZK-1270",
-            "--no-trigger",
-            "--workers",
-            "2",
-            "--reach-backend",
-            "chain",
-        ]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "DCatch on ZK-1270" in out
-    assert "DCatch reports" in out
+        parser.parse_args(["run", "ZK-1144", "--workers", "2"])
 
 
 def test_trace_load_roundtrip(tmp_path, capsys):
@@ -277,16 +256,6 @@ def test_run_checkpoint_flags_parse():
     args = parser.parse_args(["run", "ZK-1144"])
     assert args.checkpoint_dir is None
     assert args.resume is False
-
-
-def test_workers_auto_parses():
-    parser = build_parser()
-    args = parser.parse_args(["run", "ZK-1144", "--workers", "auto"])
-    assert args.workers == "auto"
-    args = parser.parse_args(["run", "ZK-1144", "--workers", "3"])
-    assert args.workers == 3
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "ZK-1144", "--workers", "fast"])
 
 
 def test_resume_missing_checkpoint_dir_exits_2(tmp_path, capsys):
