@@ -41,6 +41,7 @@ from repro import obs
 from repro.errors import CheckpointError
 from repro.trace.records import TRACE_SCHEMA_VERSION
 from repro.trace.store import Trace
+from repro.trace.wal import write_atomic
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -285,13 +286,8 @@ class CheckpointStore:
             )
 
     def _write_manifest(self) -> None:
-        tmp = self._manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path)
+        text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
+        write_atomic(self._manifest_path, text.encode())
 
     # -- stage lifecycle ------------------------------------------------------
 
@@ -312,13 +308,7 @@ class CheckpointStore:
         with obs.span("checkpoint.seal", stage=name):
             blob = json.dumps(payload, sort_keys=True).encode()
             filename = f"{name}.json"
-            path = os.path.join(self.directory, filename)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            write_atomic(os.path.join(self.directory, filename), blob)
             entry = self.manifest["stages"].setdefault(name, {})
             entry.update(
                 {"file": filename, "crc": f"{_crc(blob):08x}", "completed": True}

@@ -34,6 +34,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -63,13 +64,17 @@ from repro.trace.wal import (
     LINE_RECORD,
     LINE_SEAL,
     RecordDecoder,
+    list_stream_segments,
     scan_segment,
+    write_atomic,
 )
 
 __all__ = [
     "DEFAULT_WINDOW",
+    "PENDING",
     "STREAM_CHECKPOINT_FORMAT",
     "STREAM_CHECKPOINT_VERSION",
+    "SeqMerge",
     "StreamResult",
     "StreamingDetector",
     "detect_races_streaming",
@@ -311,6 +316,73 @@ class StreamingDetector:
 # -- WAL segment streaming -------------------------------------------------
 
 
+#: A merge source's answer when it has nothing yet but is still open.
+PENDING = object()
+
+
+class SeqMerge:
+    """The k-way merge by ``seq``: a heap keyed by each source's head.
+
+    ``sources[i]()`` yields source *i*'s next record, ``None`` once the
+    source is exhausted, or :data:`PENDING` when it has nothing yet but
+    more may come (only the service spool does this).  :meth:`pop`
+    never pops while an open source is pending, so the pop order is
+    the total ``seq`` order regardless of when records arrive.
+
+    A popped source is asked for its next record only at the following
+    :meth:`pop`, so ``on_exhausted(i)`` fires after the caller has
+    handled the source's last record and before the next pop."""
+
+    __slots__ = ("_sources", "_on_exhausted", "_heap", "_waiting", "_popped")
+
+    def __init__(
+        self,
+        sources: List[Callable[[], object]],
+        on_exhausted: Callable[[int], None],
+    ) -> None:
+        self._sources = sources
+        self._on_exhausted = on_exhausted
+        self._heap: List[Tuple[int, int, OpEvent]] = []
+        #: Sources with no head on the heap yet, in index order.
+        self._waiting: List[int] = list(range(len(sources)))
+        self._popped: Optional[int] = None
+
+    def _place(self, index: int, record: object) -> bool:
+        """Put source ``index``'s answer on the heap; True if pending."""
+        if record is PENDING:
+            return True
+        if record is None:
+            self._on_exhausted(index)
+        else:
+            heapq.heappush(self._heap, (record.seq, index, record))
+        return False
+
+    def pop(self) -> Optional[OpEvent]:
+        """The next record in ``seq`` order, or ``None`` when every
+        source is exhausted or an open one is pending."""
+        index, self._popped = self._popped, None
+        if index is not None:
+            record = self._sources[index]()
+            if not self._waiting and record is not None and record is not PENDING:
+                # The common case: one sift replaces the popped head.
+                _seq, self._popped, record = heapq.heappushpop(
+                    self._heap, (record.seq, index, record)
+                )
+                return record
+            if self._place(index, record):
+                self._waiting.append(index)
+        if self._waiting:
+            self._waiting = [
+                i for i in self._waiting if self._place(i, self._sources[i]())
+            ]
+            if self._waiting:
+                return None
+        if not self._heap:
+            return None
+        _seq, self._popped, record = heapq.heappop(self._heap)
+        return record
+
+
 class _WalStreamReader:
     """Lazily parse one stream's sealed segments in order, one record
     per ``R`` line as the merge pulls it.
@@ -321,35 +393,16 @@ class _WalStreamReader:
     in memory.
     """
 
-    def __init__(self, directory: str, node: str, tid: int, damage: Counter):
-        self.node = node
+    def __init__(self, paths: List[Optional[str]], tid: int, damage: Counter):
+        self.paths = paths
         self.tid = tid
-        self.directory = directory
         self.damage = damage
-        self.damaged = False
-
-    def _segment_paths(self) -> Iterator[str]:
-        indexed = []
-        for filename in os.listdir(self.directory):
-            if filename.startswith("seg-") and filename.endswith(".wal"):
-                try:
-                    indexed.append((int(filename[4:-4]), filename))
-                except ValueError:
-                    continue
-        expected = 0
-        for index, filename in sorted(indexed):
-            if index != expected:
-                self._damaged("missing_segments")
-                return
-            expected = index + 1
-            yield os.path.join(self.directory, filename)
-
-    def _damaged(self, kind: str) -> None:
-        self.damage[kind] += 1
-        self.damaged = True
 
     def __iter__(self) -> Iterator[OpEvent]:
-        for path in self._segment_paths():
+        for path in self.paths:
+            if path is None:
+                self.damage["missing_segments"] += 1
+                return
             sealed = False
             decoder = RecordDecoder()
             with open(path, "rb") as fh:
@@ -358,44 +411,29 @@ class _WalStreamReader:
                         try:
                             event = decoder.decode(value)
                         except TraceFormatError:
-                            self._damaged("damaged_records")
+                            self.damage["damaged_records"] += 1
                             return
                         yield event
                     elif verdict == LINE_SEAL:
                         if value is not None:
-                            self._damaged("seal_mismatches")
+                            self.damage["seal_mismatches"] += 1
                             return
                         sealed = True
                     elif verdict != LINE_HEADER:
-                        self._damaged("damaged_records")
+                        self.damage["damaged_records"] += 1
                         return
             if not sealed:
-                self._damaged("unsealed_segments")
+                self.damage["unsealed_segments"] += 1
                 return
 
 
-def _wal_stream_readers(
-    wal_dir: str, damage: Counter
-) -> List[_WalStreamReader]:
-    if not os.path.isdir(wal_dir):
-        raise TraceFormatError(f"not a WAL directory: {wal_dir}")
-    readers: List[_WalStreamReader] = []
-    for node in sorted(os.listdir(wal_dir)):
-        node_dir = os.path.join(wal_dir, node)
-        if not os.path.isdir(node_dir):
-            continue
-        for entry in sorted(os.listdir(node_dir)):
-            thread_dir = os.path.join(node_dir, entry)
-            if not os.path.isdir(thread_dir) or not entry.startswith("thread-"):
-                continue
-            try:
-                tid = int(entry[len("thread-") :])
-            except ValueError:
-                continue
-            readers.append(_WalStreamReader(thread_dir, node, tid, damage))
-    if not readers:
+def _wal_streams(wal_dir: str) -> Dict[Tuple[str, int], List[Optional[str]]]:
+    streams = list_stream_segments(wal_dir)
+    if not streams:
+        if not os.path.isdir(wal_dir):
+            raise TraceFormatError(f"not a WAL directory: {wal_dir}")
         raise TraceFormatError(f"no WAL streams under {wal_dir}")
-    return readers
+    return streams
 
 
 def iter_wal_records(
@@ -408,33 +446,22 @@ def iter_wal_records(
     with the stream's tid the moment it is exhausted (that is what lets
     the detector release the stream's HB state)."""
     damage = damage if damage is not None else Counter()
-    readers = _wal_stream_readers(wal_dir, damage)
-    heap: List[Tuple[int, int, OpEvent, Iterator[OpEvent]]] = []
-    for index, reader in enumerate(readers):
-        iterator = iter(reader)
-        first = next(iterator, None)
-        if first is None:
-            if on_stream_end is not None:
-                on_stream_end(reader.tid)
-            continue
-        heap.append((first.seq, index, first, iterator))
-    heapq.heapify(heap)
-    tids = [reader.tid for reader in readers]
-    while heap:
-        _seq, index, event, iterator = heap[0]
+    readers = [
+        _WalStreamReader(paths, tid, damage)
+        for (_node, tid), paths in _wal_streams(wal_dir).items()
+    ]
+
+    def exhausted(index: int) -> None:
+        if on_stream_end is not None:
+            on_stream_end(readers[index].tid)
+
+    pop = SeqMerge(
+        [partial(next, iter(reader), None) for reader in readers], exhausted
+    ).pop
+    event = pop()
+    while event is not None:
         yield event
-        following = next(iterator, None)
-        if following is None:
-            heapq.heappop(heap)
-            if on_stream_end is not None:
-                on_stream_end(tids[index])
-        else:
-            heapq.heapreplace(heap, (following.seq, index, following, iterator))
-
-
-def wal_stream_tids(wal_dir: str) -> List[int]:
-    """The stream (tid) set of a WAL directory, discovered upfront."""
-    return [reader.tid for reader in _wal_stream_readers(wal_dir, Counter())]
+        event = pop()
 
 
 # -- checkpoint files ------------------------------------------------------
@@ -458,12 +485,7 @@ def _save_stream_checkpoint(
         doc["extra"] = extra
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
     framed = b"%08x %s" % (zlib.crc32(payload) & 0xFFFFFFFF, payload)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(framed)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, framed)
 
 
 def load_stream_checkpoint(path: str) -> Dict[str, object]:
@@ -576,7 +598,7 @@ def detect_races_streaming(
 
     if detector is None:
         if wal_dir is not None and expected_streams is None:
-            expected_streams = wal_stream_tids(wal_dir)
+            expected_streams = [tid for _node, tid in _wal_streams(wal_dir)]
         detector = StreamingDetector(
             model=model, window=window, expected_streams=expected_streams
         )

@@ -267,6 +267,15 @@ class ServiceClient:
         segments = list_stream_segments(wal_dir)
         if not segments:
             raise ServiceError(f"no WAL streams under {wal_dir}", code="empty")
+        for (node, tid), paths in sorted(segments.items()):
+            if None in paths:
+                # Renumbering the segments after a gap would make the
+                # report look complete; refuse, as for a damaged one.
+                raise ServiceError(
+                    f"stream {node}/{tid} is missing segment "
+                    f"{paths.index(None)}; refusing to ship a gapped WAL",
+                    code="missing_segment",
+                )
         # Declaring totals upfront is the third leg of deadlock
         # freedom: without it the merge starves on a fully-shipped
         # short stream until finalize, which may be unreachable while

@@ -58,7 +58,7 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import protocol
 from repro.service.protocol import error_frame, ok_frame
 from repro.service.tenants import DEFAULT_CHECKPOINT_EVERY, Tenant
-from repro.trace.wal import verify_segment_bytes
+from repro.trace.wal import segment_path, verify_segment_bytes, write_atomic
 
 __all__ = ["DetectionServer", "SERVICE_FILE", "load_service_file"]
 
@@ -623,13 +623,7 @@ class DetectionServer:
             if index < stream.received:  # raced with a duplicate
                 return ok_frame(duplicate=True, **self._session_fields(tenant))
             os.makedirs(stream.directory, exist_ok=True)
-            path = stream.segment_path(index)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            write_atomic(segment_path(stream.directory, index), body)
             stream.received = index + 1
         tenant.wakeup.set()
         obs.counter(

@@ -3,7 +3,7 @@
 Each admitted tenant owns a directory under ``<data_dir>/tenants/<id>``::
 
     state.json            durable session state (streams, finalize, mode)
-    spool/<node>/thread-<tid>/seg-NNNN.wal    ingested segment bytes
+    spool/                ingested segment bytes, in the WAL layout
     stream.ckpt           CRC-framed detector checkpoint (PR-7 format)
     report.json           canonical detection report, written once
     quarantine/           evidence bytes kept by the circuit breaker
@@ -21,11 +21,12 @@ nothing that was ever acknowledged.
 
 The merge is the correctness heart: :class:`StreamingDetector` requires
 records in global ``seq`` order, but segments arrive interleaved across
-streams.  :meth:`Tenant.pump` pops the min-``seq`` lookahead **only
-when every open stream has one buffered** — so the pop order is the
-total ``seq`` order regardless of arrival timing, which makes the
-consumed prefix deterministic, which is what lets a raw-record-count
-watermark in the checkpoint resume byte-identically after a crash.
+streams.  :meth:`Tenant.pump` drives the offline pass's heap merge
+(:class:`repro.detect.streaming.SeqMerge`) over the spool cursors, and
+it **stalls while an open stream has nothing buffered** — so the pop
+order is the total ``seq`` order regardless of arrival timing, which
+makes the consumed prefix deterministic, which is what lets the
+checkpoint's raw-record watermark resume byte-identically after a crash.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.detect.streaming import (
+    PENDING,
+    SeqMerge,
     StreamingDetector,
     load_stream_checkpoint,
     save_stream_checkpoint,
@@ -50,7 +53,13 @@ from repro.service.report import build_report_doc, render_report
 # Not called here; the per-layer benchmark ledger patches this name.
 from repro.trace.records import record_from_dict  # noqa: F401
 from repro.trace.sampling import Sampler, build_sampler
-from repro.trace.wal import iter_segment_records, list_stream_segments
+from repro.trace.wal import (
+    iter_segment_records,
+    list_stream_segments,
+    segment_path,
+    stream_dir,
+    write_atomic,
+)
 
 __all__ = ["Tenant", "StreamKey", "TENANT_STATE_FORMAT"]
 
@@ -73,88 +82,65 @@ def stream_key_str(key: StreamKey) -> str:
 
 class _SpoolStream:
     """One (node, tid) stream: spooled segment files plus the parse
-    cursor feeding the merge."""
+    cursor that is this stream's merge source."""
 
-    def __init__(self, node: str, tid: int, directory: str) -> None:
+    def __init__(self, node: str, tid: int, directory: str, damage: Counter):
         self.node = node
         self.tid = tid
         self.directory = directory
+        self.damage = damage
         #: Segments durably spooled (next expected upload index).
         self.received = 0
         #: Segments opened for decoding (the last may still hold records).
         self.consumed_segments = 0
         #: Final segment count, set by ``finalize``.
         self.declared: Optional[int] = None
-        #: The next record in seq order, decoded but not yet merged.
-        self.head: Optional[OpEvent] = None
         #: Lazy decoder over the segment being parsed.
         self._records: Optional[Iterator[OpEvent]] = None
-        self.closed = False  # close_stream() delivered to the detector
+        #: The merge holds (or just popped) a record of this stream.
+        self.in_merge = False
+        self.closed = False  # the merge found the stream exhausted
 
     @property
     def key(self) -> StreamKey:
         return (self.node, self.tid)
 
-    def segment_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"seg-{index:04d}.wal")
-
-    def refill(self, damage: Counter) -> None:
-        """Decode the next record into ``head``, opening the next
-        spooled segment when the current one runs out (or leave
-        ``head`` empty when the spool cursor has caught up).  Records
-        are decoded one at a time, as the merge pulls them."""
-        while self.head is None:
+    def next_record(self) -> object:
+        """The merge source: decode the next record, opening the next
+        spooled segment when the current one runs out.  ``None`` once
+        every declared segment is drained, ``PENDING`` when the spool
+        cursor has caught up but more may come."""
+        while True:
             if self._records is not None:
-                self.head = next(self._records, None)
-                if self.head is not None:
-                    return
+                event = next(self._records, None)
+                self.in_merge = event is not None
+                if self.in_merge:
+                    return event
                 self._records = None
-            if self.consumed_segments >= self.received:
-                return
-            path = self.segment_path(self.consumed_segments)
-            with open(path, "rb") as fh:
+            index = self.consumed_segments
+            if self.declared is not None and index >= self.declared:
+                return None
+            if index >= self.received:
+                return PENDING
+            with open(segment_path(self.directory, index), "rb") as fh:
                 data = fh.read()
             # Segment CRCs passed at ingest, so a record that fails to
             # decode is a schema problem, not corruption: count it and
             # continue.
-            self._records = iter_segment_records(data, damage)
+            self._records = iter_segment_records(data, self.damage)
             self.consumed_segments += 1
 
     @property
-    def buffered(self) -> bool:
-        """A decoded record or a partly decoded segment is waiting."""
-        return self.head is not None or self._records is not None
-
-    @property
-    def unparsed(self) -> int:
-        """Spooled segments not yet opened for decoding."""
-        return self.received - self.consumed_segments
-
-    @property
     def hungry(self) -> bool:
-        """Nothing buffered and nothing spooled to parse: the k-way
+        """Nothing decoded and nothing spooled to parse: the k-way
         merge may be starved on this stream, so backpressure must
         *never* refuse its next segment.  Without this carve-out a
         tenant with more streams than queue credits deadlocks — the
         credits fill with segments parked behind non-empty buffers
         while the merge starves on streams that were never allowed to
         ship, and the backlog can then never drain."""
-        return not self.buffered and self.unparsed == 0 and not self.closed
-
-    @property
-    def exhausted(self) -> bool:
-        """All declared segments parsed and drained."""
-        return (
-            self.declared is not None
-            and self.consumed_segments >= self.declared
-            and not self.buffered
-        )
-
-    @property
-    def starved(self) -> bool:
-        """Open (more data may come) but nothing decoded — the merge
-        must stall rather than pop out of seq order."""
-        return self.head is None and not self.exhausted
+        caught_up = self.consumed_segments >= self.received
+        return caught_up and not (self.in_merge or self.closed)
 
 
 class Tenant:
@@ -194,6 +180,7 @@ class Tenant:
         self._skip_raw = 0
         self._last_checkpoint_raw = 0
         self.detector: Optional[StreamingDetector] = None
+        self._merge: Optional[SeqMerge] = None
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
             quarantine_dir=os.path.join(root, "quarantine"),
@@ -245,12 +232,9 @@ class Tenant:
             "bad_total": self.breaker.bad_total,
             "window": self.window,
         }
-        tmp = self.state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.state_path)
+        write_atomic(
+            self.state_path, json.dumps(doc, sort_keys=True, indent=2).encode()
+        )
 
     @classmethod
     def recover(cls, tenant_id: str, root: str, **kwargs: object) -> "Tenant":
@@ -276,15 +260,11 @@ class Tenant:
             self._engage_sampler()
         self.breaker.quarantined = bool(doc.get("quarantined"))
         self.breaker.bad_total = int(doc.get("bad_total", 0))
-        spooled = (
-            list_stream_segments(self.spool_dir)
-            if os.path.isdir(self.spool_dir)
-            else {}
-        )
-        for key, paths in spooled.items():
+        for key, paths in list_stream_segments(self.spool_dir).items():
             stream = self.streams.get(key)
             if stream is not None:
-                stream.received = len(paths)
+                # Only the prefix before a gap was spooled in order.
+                stream.received = (paths + [None]).index(None)
         declared = {
             key: int(count)
             for key, count in (doc.get("declared") or {}).items()
@@ -334,10 +314,9 @@ class Tenant:
             key = (node, tid)
             if key in self.streams:
                 continue
-            directory = os.path.join(
-                self.spool_dir, node, f"thread-{tid}"
+            self.streams[key] = _SpoolStream(
+                node, tid, stream_dir(self.spool_dir, node, tid), self.damage
             )
-            self.streams[key] = _SpoolStream(node, tid, directory)
 
     def stream_keys(self) -> List[StreamKey]:
         return sorted(self.streams)
@@ -432,35 +411,32 @@ class Tenant:
             )
         return self.detector
 
+    def _stream_exhausted(self, stream: _SpoolStream) -> None:
+        # Deliver close exactly once, and never during the resume
+        # replay (pre-watermark closes are already in the checkpoint
+        # snapshot).
+        if self.consumed_raw >= self._skip_raw:
+            self.detector.close_stream(stream.tid)
+        stream.closed = True
+
     def pump(self, limit: Optional[int] = None) -> int:
         """Drain the merge into the detector as far as seq order
         allows, up to ``limit`` raw records (keeps the pump
         preemptible).  Returns the number of raw records advanced
         (0 means the merge is starved — waiting on more segments)."""
         detector = self._ensure_detector()
+        if self._merge is None:
+            streams = list(self.streams.values())
+            self._merge = SeqMerge(
+                [stream.next_record for stream in streams],
+                lambda index: self._stream_exhausted(streams[index]),
+            )
+        pop = self._merge.pop
         advanced = 0
         while limit is None or advanced < limit:
-            best: Optional[_SpoolStream] = None
-            for stream in self.streams.values():
-                if stream.closed:
-                    continue
-                stream.refill(self.damage)
-                if stream.exhausted:
-                    # Deliver close exactly once, and never during the
-                    # resume replay (pre-watermark closes are already
-                    # in the checkpoint snapshot).
-                    if self.consumed_raw >= self._skip_raw:
-                        detector.close_stream(stream.tid)
-                    stream.closed = True
-                    continue
-                if stream.starved:
-                    return advanced  # cannot pop without risking order
-                if best is None or stream.head.seq < best.head.seq:
-                    best = stream
-            if best is None:
-                return advanced
-            event = best.head
-            best.head = None
+            event = pop()
+            if event is None:
+                return advanced  # drained, or cannot pop without risking order
             self.consumed_raw += 1
             advanced += 1
             if self.consumed_raw <= self._skip_raw:
@@ -477,6 +453,7 @@ class Tenant:
                 if not keep:
                     continue
             detector.feed(event)
+        return advanced
 
     def maybe_checkpoint(self, force: bool = False) -> bool:
         """Save the detector checkpoint (with the raw watermark) when
@@ -548,12 +525,7 @@ class Tenant:
                 dict(self.sampler.dropped) if self.sampler is not None else {}
             ),
         )
-        tmp = self.report_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(render_report(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.report_path)
+        write_atomic(self.report_path, render_report(doc))
         self.done = True
         obs.counter(
             "service_reports_total", "tenant reports published"

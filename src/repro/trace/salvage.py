@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import TraceFormatError
 from repro.runtime.ops import OpEvent
@@ -48,8 +48,12 @@ from repro.trace.wal import (
     LINE_RECORD,
     LINE_SEAL,
     LINE_TORN,
+    WAL_LAYOUT,
     RecordDecoder,
+    list_stream_segments,
     scan_segment,
+    segment_path,
+    stream_dir,
 )
 
 
@@ -283,15 +287,6 @@ def _salvage_segment(
         thread.unsealed_segments += 1
 
 
-def _segment_index(filename: str) -> Optional[int]:
-    if filename.startswith("seg-") and filename.endswith(".wal"):
-        try:
-            return int(filename[4:-4])
-        except ValueError:
-            return None
-    return None
-
-
 def salvage_trace(
     directory: str, name: str = "salvaged", live: bool = False
 ) -> Tuple[Trace, SalvageReport]:
@@ -310,52 +305,26 @@ def salvage_trace(
         raise TraceFormatError(f"not a WAL directory: {directory}")
     report = SalvageReport(directory=directory)
     recovered: List[OpEvent] = []
-    streams = 0
-    for node in sorted(os.listdir(directory)):
-        node_dir = os.path.join(directory, node)
-        if not os.path.isdir(node_dir):
-            continue
-        for thread_entry in sorted(os.listdir(node_dir)):
-            thread_dir = os.path.join(node_dir, thread_entry)
-            if not os.path.isdir(thread_dir) or not thread_entry.startswith(
-                "thread-"
-            ):
-                continue
-            try:
-                tid = int(thread_entry[len("thread-"):])
-            except ValueError:
-                continue
-            streams += 1
-            thread = ThreadSalvage(node=node, tid=tid)
-            report.threads[f"{node}/thread-{tid}"] = thread
-            indices = sorted(
-                idx
-                for entry in os.listdir(thread_dir)
-                if (idx := _segment_index(entry)) is not None
-            )
-            if indices:
+    streams = list_stream_segments(directory)
+    for (node, tid), paths in streams.items():
+        thread_dir = stream_dir(directory, node, tid)
+        thread = ThreadSalvage(node=node, tid=tid)
+        report.threads[os.path.relpath(thread_dir, directory)] = thread
+        last = len(paths) - 1
+        for index, path in enumerate(paths):
+            if path is None:
                 # Gaps in the numbering are lost files, not lost tails.
-                have = set(indices)
-                for missing in range(indices[-1] + 1):
-                    if missing not in have:
-                        thread.missing_segments.append(missing)
-                        report.missing_segments.append(
-                            os.path.join(
-                                node, thread_entry, f"seg-{missing:04d}.wal"
-                            )
-                        )
-            for idx in indices:
-                _salvage_segment(
-                    os.path.join(thread_dir, f"seg-{idx:04d}.wal"),
-                    report,
-                    thread,
-                    recovered,
-                    live_tail=live and idx == indices[-1],
+                thread.missing_segments.append(index)
+                report.missing_segments.append(
+                    os.path.relpath(segment_path(thread_dir, index), directory)
                 )
-    if streams == 0:
+                continue
+            _salvage_segment(
+                path, report, thread, recovered, live_tail=live and index == last
+            )
+    if not streams:
         raise TraceFormatError(
-            f"no WAL streams under {directory} "
-            "(expected <node>/thread-<tid>/seg-*.wal)"
+            f"no WAL streams under {directory} (expected {WAL_LAYOUT})"
         )
 
     trace = Trace(name)

@@ -50,11 +50,13 @@ as ``s<text>``, an ``int`` as ``i<decimal>``.  Readers pick the codec
 per line, so v1 and v2 lines may share a segment, and v1 directories
 written before v2 still decode.
 
-On the read side :func:`scan_segment` is the one framing loop: it
-classifies every line (verified record, seal, torn/CRC-bad/garbage
-damage) and each caller applies its own damage policy — the streaming
-detector truncates the stream, salvage quarantines and continues, the
-service counts.  :class:`RecordDecoder` then turns verified payloads
+Only this module knows the layout: :func:`list_stream_segments` is the
+one directory walk (numeric segment order, a missing index as ``None``)
+and :func:`scan_segment` the one framing loop, which classifies every
+line (verified record, seal, torn/CRC-bad/garbage damage).  Each caller
+applies its own damage policy — the streaming detector truncates the
+stream, salvage quarantines and continues, the service counts, ``ship``
+refuses a gap.  :class:`RecordDecoder` then turns verified payloads
 into ``OpEvent``s one line at a time.
 """
 
@@ -468,7 +470,7 @@ class WalWriter:
         flush_every: int = DEFAULT_FLUSH_EVERY,
         on_seal: Optional[SealCallback] = None,
     ) -> None:
-        self.directory = os.path.join(directory, node, f"thread-{tid}")
+        self.directory = stream_dir(directory, node, tid)
         self.node = node
         self.tid = tid
         self.segment_records = max(1, segment_records)
@@ -495,7 +497,7 @@ class WalWriter:
         self._segment_count = 0
         self._segment_crc = 0
         self._encoder.reset()
-        path = os.path.join(self.directory, f"seg-{self._segment_index:04d}.wal")
+        path = segment_path(self.directory, self._segment_index)
         self._segment_path = path
         self._fh = open(path, "wb")
         header = {
@@ -805,10 +807,29 @@ def iter_segment_records(
         damage["damaged_records"] = damage.get("damaged_records", 0) + 1
 
 
-def list_stream_segments(wal_dir: str) -> Dict[Tuple[str, int], List[str]]:
+#: The layout :func:`stream_dir` and :func:`segment_path` spell.
+WAL_LAYOUT = "<node>/thread-<tid>/seg-NNNN.wal"
+
+
+def stream_dir(wal_dir: str, node: str, tid: int) -> str:
+    """The directory holding one ``(node, tid)`` stream's segments."""
+    return os.path.join(wal_dir, node, f"thread-{tid}")
+
+
+def segment_path(stream_directory: str, index: int) -> str:
+    """The path of segment ``index`` in a stream directory."""
+    return os.path.join(stream_directory, f"seg-{index:04d}.wal")
+
+
+def list_stream_segments(
+    wal_dir: str,
+) -> Dict[Tuple[str, int], List[Optional[str]]]:
     """Map every ``(node, tid)`` stream of a WAL directory to its
-    segment file paths, ordered by segment index."""
-    streams: Dict[Tuple[str, int], List[str]] = {}
+    segments, ordered by numeric segment index: position *i* holds
+    segment *i*'s path, or ``None`` when that file is missing (a gap
+    below the highest index present).  Each caller applies its own
+    policy to a gap.  A directory that does not exist has no streams."""
+    streams: Dict[Tuple[str, int], List[Optional[str]]] = {}
     if not os.path.isdir(wal_dir):
         return streams
     for node in sorted(os.listdir(wal_dir)):
@@ -823,9 +844,27 @@ def list_stream_segments(wal_dir: str) -> Dict[Tuple[str, int], List[str]]:
                 tid = int(entry[len("thread-"):])
             except ValueError:
                 continue
-            paths = []
-            for filename in sorted(os.listdir(thread_dir)):
+            found: Dict[int, str] = {}
+            for filename in os.listdir(thread_dir):
                 if filename.startswith("seg-") and filename.endswith(".wal"):
-                    paths.append(os.path.join(thread_dir, filename))
-            streams[(node, tid)] = paths
+                    try:
+                        index = int(filename[len("seg-"):-len(".wal")])
+                    except ValueError:
+                        continue
+                    found[index] = os.path.join(thread_dir, filename)
+            streams[(node, tid)] = [
+                found.get(index) for index in range(max(found, default=-1) + 1)
+            ]
     return streams
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` durably: write a temp file, fsync
+    it, then rename it over ``path``.  A crash leaves either the old
+    file or the new one, never a torn mix."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)

@@ -9,6 +9,8 @@ every record).  The window is a memory knob, never a soundness knob.
 
 import json
 import os
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.detect.races import detect_races
 from repro.detect.streaming import (
+    PENDING,
+    SeqMerge,
     StreamingDetector,
     detect_races_streaming,
     load_stream_checkpoint,
@@ -221,6 +225,40 @@ def test_damaged_wal_degrades_to_partial(tmp_path):
     assert result.confidence == "partial"
     assert result.damage
     assert result.records_consumed < generated.records
+
+
+def test_merge_stalls_while_a_source_is_pending():
+    """A source with nothing yet stalls the pop even though another
+    source has a smaller record waiting; pops resume once it refills."""
+    rec = {seq: SimpleNamespace(seq=seq) for seq in range(1, 6)}
+    spool = {"buffer": [], "closed": False}
+
+    def spooled():
+        if spool["buffer"]:
+            return spool["buffer"].pop(0)
+        return None if spool["closed"] else PENDING
+
+    exhausted = []
+    merge = SeqMerge(
+        [partial(next, iter([rec[1], rec[4], rec[5]]), None), spooled],
+        exhausted.append,
+    )
+    assert merge.pop() is None  # source 1 is pending: no pop
+    assert merge.pop() is None
+    spool["buffer"].append(rec[2])
+    assert merge.pop() is rec[1]
+    assert merge.pop() is rec[2]
+    assert merge.pop() is None  # source 1 pending again; rec 4 waits
+    spool["buffer"].append(rec[3])
+    spool["closed"] = True
+    assert merge.pop() is rec[3]
+    assert exhausted == []  # asked only at the next pop
+    assert merge.pop() is rec[4]
+    assert exhausted == [1]
+    assert merge.pop() is rec[5]
+    assert merge.pop() is None
+    assert exhausted == [1, 0]
+    assert merge.pop() is None
 
 
 def test_exactly_one_source_required():

@@ -276,6 +276,30 @@ class TestBackpressure:
             assert "credits" in ack and ack["mode"] == "full"
 
 
+class TestGappedWal:
+    def test_ship_refuses_a_missing_segment(self, server, tmp_path):
+        """Renumbering the segments after a gap would give a report
+        that says ``full``; offline says ``partial``, ship refuses."""
+        generated = generate_workload(
+            "minizk", "small", seed=11, out_dir=str(tmp_path / "gap"),
+            segment_records=16,
+        )
+        wal = generated.wal_dir
+        assert len(list_stream_segments(wal)[("leader", 1)]) == 9
+        os.remove(os.path.join(wal, "leader", "thread-1", "seg-0004.wal"))
+        offline = detect_races_streaming(wal_dir=wal, window=WINDOW)
+        assert offline.confidence == "partial"
+        assert offline.damage == {"missing_segments": 1}
+        with _client(server, "gapped") as client:
+            with pytest.raises(ServiceError) as err:
+                client.ship_wal_dir(wal)
+        assert err.value.code == "missing_segment"
+        assert err.value.code not in protocol.RETRYABLE_ERRORS
+        assert "leader/1" in str(err.value) and "segment 4" in str(err.value)
+        # Refused before anything was sent: no session exists.
+        assert "gapped" not in server.tenants
+
+
 class TestCircuitBreaker:
     def _ship_garbage(self, client, node, tid, index):
         # CRC-valid framing is checked server-side; raw noise is "torn".

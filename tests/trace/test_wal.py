@@ -9,7 +9,11 @@ import pytest
 from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import Tracer, WalSink, WalWriter
-from repro.trace.wal import encode_record_line, encode_seal_line
+from repro.trace.wal import (
+    encode_record_line,
+    encode_seal_line,
+    list_stream_segments,
+)
 
 
 def _event(seq, node="n1", tid=0, kind=OpKind.MEM_WRITE):
@@ -151,3 +155,31 @@ class TestWalSink:
         tracer.close()
         assert sink.records_written == len(tracer.trace)
         assert sink.records_written > 0
+
+
+class TestStreamWalk:
+    def test_orders_numerically_and_shows_gaps(self, tmp_path):
+        stream = tmp_path / "n1" / "thread-0"
+        stream.mkdir(parents=True)
+        for index in (0, 1, 3, 9999, 10000):
+            (stream / f"seg-{index:04d}.wal").write_bytes(b"")
+        (stream / "notes.txt").write_bytes(b"")
+        paths = list_stream_segments(str(tmp_path))[("n1", 0)]
+        assert [os.path.basename(path) for path in paths if path] == [
+            "seg-0000.wal",
+            "seg-0001.wal",
+            "seg-0003.wal",
+            "seg-9999.wal",
+            "seg-10000.wal",
+        ]
+        assert len(paths) == 10001
+        present = [i for i, path in enumerate(paths) if path is not None]
+        assert present == [0, 1, 3, 9999, 10000]
+        missing = [i for i, path in enumerate(paths) if path is None]
+        assert missing == [2] + list(range(4, 9999))
+
+    def test_streams_without_segments_are_listed(self, tmp_path):
+        (tmp_path / "n1" / "thread-3").mkdir(parents=True)
+        (tmp_path / "n1" / "not-a-stream").mkdir()
+        assert list_stream_segments(str(tmp_path)) == {("n1", 3): []}
+        assert list_stream_segments(str(tmp_path / "absent")) == {}
